@@ -13,126 +13,12 @@
    Run it after the micro and serve sections:
      dune exec bench/main.exe -- micro serve gate *)
 
-(* Minimal JSON reader for the flat { "name": number } estimate files and
-   the { entries: { name: { field: number } } } baseline — the repo
-   deliberately has no JSON parsing dependency, and these two shapes are
-   all the gate needs. Numbers, strings, objects; no arrays/bools/null. *)
-module Json = struct
-  type t = Num of float | Str of string | Obj of (string * t) list
+module Json = Abg_util.Json
 
-  let parse (s : string) : t =
-    let n = String.length s in
-    let pos = ref 0 in
-    let fail msg = failwith (Printf.sprintf "json: %s at byte %d" msg !pos) in
-    let peek () = if !pos < n then Some s.[!pos] else None in
-    let skip_ws () =
-      while
-        !pos < n
-        && (match s.[!pos] with ' ' | '\t' | '\n' | '\r' -> true | _ -> false)
-      do
-        incr pos
-      done
-    in
-    let expect c =
-      if !pos < n && s.[!pos] = c then incr pos
-      else fail (Printf.sprintf "expected '%c'" c)
-    in
-    let string_lit () =
-      expect '"';
-      let buf = Buffer.create 16 in
-      let rec go () =
-        if !pos >= n then fail "unterminated string"
-        else
-          match s.[!pos] with
-          | '"' -> incr pos
-          | '\\' ->
-              incr pos;
-              (match peek () with
-              | Some '"' -> Buffer.add_char buf '"'
-              | Some '\\' -> Buffer.add_char buf '\\'
-              | Some 'n' -> Buffer.add_char buf '\n'
-              | Some 't' -> Buffer.add_char buf '\t'
-              | Some 'u' ->
-                  (* The estimate names are ASCII; keep escapes verbatim. *)
-                  Buffer.add_string buf "\\u"
-              | _ -> fail "bad escape");
-              incr pos;
-              go ()
-          | c ->
-              Buffer.add_char buf c;
-              incr pos;
-              go ()
-      in
-      go ();
-      Buffer.contents buf
-    in
-    let number () =
-      let start = !pos in
-      while
-        !pos < n
-        &&
-        match s.[!pos] with
-        | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
-        | _ -> false
-      do
-        incr pos
-      done;
-      match float_of_string_opt (String.sub s start (!pos - start)) with
-      | Some f -> f
-      | None -> fail "bad number"
-    in
-    let rec value () =
-      skip_ws ();
-      match peek () with
-      | Some '"' -> Str (string_lit ())
-      | Some '{' -> obj ()
-      | Some ('0' .. '9' | '-') -> Num (number ())
-      | _ -> fail "expected value"
-    and obj () =
-      expect '{';
-      skip_ws ();
-      if peek () = Some '}' then begin
-        incr pos;
-        Obj []
-      end
-      else begin
-        let fields = ref [] in
-        let rec members () =
-          skip_ws ();
-          let key = string_lit () in
-          skip_ws ();
-          expect ':';
-          let v = value () in
-          fields := (key, v) :: !fields;
-          skip_ws ();
-          match peek () with
-          | Some ',' ->
-              incr pos;
-              members ()
-          | Some '}' -> incr pos
-          | _ -> fail "expected ',' or '}'"
-        in
-        members ();
-        Obj (List.rev !fields)
-      end
-    in
-    let v = value () in
-    skip_ws ();
-    if !pos <> n then fail "trailing garbage";
-    v
+let of_file path = Json.parse (Abg_batch.Store.read_file path)
 
-  let of_file path =
-    let ic = open_in_bin path in
-    let len = in_channel_length ic in
-    let contents = really_input_string ic len in
-    close_in ic;
-    parse contents
-
-  let field name = function Obj fields -> List.assoc_opt name fields | _ -> None
-
-  let num_field name j =
-    match field name j with Some (Num f) -> Some f | _ -> None
-end
+let num_field name j =
+  match Json.member_opt name j with Some (Json.Num f) -> Some f | _ -> None
 
 let baseline_path = "ci/bench-baseline.json"
 
@@ -144,7 +30,7 @@ let fresh_estimates path =
          "bench gate: %s missing — run its bench section first (dune exec \
           bench/main.exe -- micro serve gate)"
          path);
-  match Json.of_file path with
+  match of_file path with
   | Json.Obj fields ->
       List.filter_map
         (function name, Json.Num f -> Some (name, f) | _ -> None)
@@ -153,9 +39,9 @@ let fresh_estimates path =
 
 let run () =
   Runs.heading "Bench regression gate (vs ci/bench-baseline.json)";
-  let baseline = Json.of_file baseline_path in
+  let baseline = of_file baseline_path in
   let entries =
-    match Json.field "entries" baseline with
+    match Json.member_opt "entries" baseline with
     | Some (Json.Obj entries) -> entries
     | _ -> failwith "bench gate: baseline has no entries object"
   in
@@ -170,7 +56,7 @@ let run () =
         Printf.printf "FAIL %-32s missing from fresh estimates\n" name
     | Some value ->
         let ratio_verdict =
-          match (Json.num_field "baseline_ns" spec, Json.num_field "max_ratio" spec) with
+          match (num_field "baseline_ns" spec, num_field "max_ratio" spec) with
           | Some base, Some max_ratio when base > 0.0 ->
               let ratio = value /. base in
               if ratio > max_ratio then
@@ -183,7 +69,7 @@ let run () =
           | _ -> None
         in
         let abs_verdict =
-          match Json.num_field "max_ns" spec with
+          match num_field "max_ns" spec with
           | Some cap ->
               if value > cap then
                 Some (false, Printf.sprintf "%.0f ns over cap %.0f ns" value cap)

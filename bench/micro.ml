@@ -443,52 +443,20 @@ let measure test =
     results;
   !rows
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
-let write_json path rows =
-  let oc = open_out path in
-  output_string oc "{\n";
-  List.iteri
-    (fun i (name, est) ->
-      Printf.fprintf oc "  \"%s\": %.1f%s\n" (json_escape name) est
-        (if i = List.length rows - 1 then "" else ","))
-    rows;
-  output_string oc "}\n";
-  close_out oc
-
 (* Run metadata alongside the flat estimate map: what machine and
    configuration produced the numbers, plus the telemetry snapshot of
    the setup phase (trace collection, segment prep) so the workload
    behind the estimates is auditable. BENCH_micro.json itself stays a
    flat name -> ns/run map for cross-PR comparability. *)
 let write_meta path =
-  let oc = open_out path in
-  Printf.fprintf oc
-    "{\n\
-    \  \"schema\": \"abagnale-bench-meta/1\",\n\
-    \  \"ocaml\": \"%s\",\n\
-    \  \"word_size\": %d,\n\
-    \  \"recommended_domains\": %d,\n\
-    \  \"quota_s\": 0.5,\n\
-    \  \"limit\": 200,\n\
-    \  \"telemetry_during_measurement\": \"disabled\",\n\
-    \  \"setup_telemetry\": %s}\n"
-    (json_escape Sys.ocaml_version)
-    Sys.word_size
-    (Domain.recommended_domain_count ())
-    (Abg_obs.Report.to_json (Abg_obs.Obs.snapshot ()));
-  close_out oc
+  let open Abg_util.Json in
+  Runs.write_meta path
+    [
+      ("quota_s", Num 0.5);
+      ("limit", Num 200.0);
+      ("telemetry_during_measurement", Str "disabled");
+      ("setup_telemetry", Abg_obs.Report.document (Abg_obs.Obs.snapshot ()));
+    ]
 
 (* One genetic-search generation step at the CI smoke population size:
    ranking, tournament selection, crossover, and mutation for pop 8 —
@@ -542,7 +510,7 @@ let run () =
       ~finally:(fun () -> Abg_obs.Obs.set_enabled true)
       (fun () -> List.concat_map measure tests)
   in
-  write_json "BENCH_micro.json" rows;
+  Runs.write_estimates "BENCH_micro.json" rows;
   Printf.printf
     "[micro: wrote %d estimates to BENCH_micro.json, run metadata to \
      BENCH_micro.meta.json]\n"

@@ -81,3 +81,29 @@ let timed name f =
   let r = f () in
   Printf.printf "[%s: %.1fs]\n%!" name (Unix.gettimeofday () -. t0);
   r
+
+(* Bench output files are indented JSON, newline-terminated. *)
+let write_json path doc =
+  Out_channel.with_open_bin path (fun oc ->
+      output_string oc (Abg_util.Json.to_string_indented doc ^ "\n"))
+
+(* The flat name -> ns/run estimate map that bench/gate.ml reads. *)
+let write_estimates path rows =
+  write_json path
+    (Abg_util.Json.Obj
+       (List.map (fun (name, est) -> (name, Abg_util.Json.Num est)) rows))
+
+(* A BENCH_*.meta.json: the machine that produced the estimates, then the
+   section's own configuration [fields]. *)
+let write_meta path fields =
+  let open Abg_util.Json in
+  write_json path
+    (Obj
+       ([
+          ("schema", Str "abagnale-bench-meta/1");
+          ("ocaml", Str Sys.ocaml_version);
+          ("word_size", Num (float_of_int Sys.word_size));
+          ( "recommended_domains",
+            Num (float_of_int (Domain.recommended_domain_count ())) );
+        ]
+       @ fields))

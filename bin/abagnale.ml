@@ -321,36 +321,24 @@ let lint_format_arg =
     & opt (enum [ ("text", `Text); ("json", `Json) ]) `Text
     & info [ "format" ] ~docv:"FORMAT" ~doc)
 
-(* Hand-rolled JSON emission: no JSON library in the dependency set, and
-   the output must be byte-stable for the CI diff. Non-finite interval
-   endpoints (JSON has no Infinity/NaN literals) are emitted as the
-   strings "inf"/"-inf"; finite floats use %.17g (round-trip exact). *)
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
+(* The lint JSON keeps its own pinned layout (ci/lint-expected.json);
+   strings and finite numbers render through Abg_util.Json. Non-finite
+   interval endpoints are the strings "inf"/"-inf"/"nan", which the
+   pinned file carries. *)
+let json_str s = Abg_util.Json.(to_string (Str s))
 
-let json_float v =
-  if Float.is_nan v then "\"nan\""
-  else if v = Float.infinity then "\"inf\""
-  else if v = Float.neg_infinity then "\"-inf\""
-  else Printf.sprintf "%.17g" v
+let json_bound v =
+  Abg_util.Json.to_string
+    (if Float.is_finite v then Abg_util.Json.Num v
+     else if Float.is_nan v then Abg_util.Json.Str "nan"
+     else Abg_util.Json.Str (if v > 0.0 then "inf" else "-inf"))
 
 let json_witness = function
   | None -> "null"
   | Some (w : Abg_util.Interval.t) ->
       Printf.sprintf "{\"lo\": %s, \"hi\": %s, \"nan\": %b}"
-        (json_float w.Abg_util.Interval.lo)
-        (json_float w.Abg_util.Interval.hi)
+        (json_bound w.Abg_util.Interval.lo)
+        (json_bound w.Abg_util.Interval.hi)
         w.Abg_util.Interval.nan
 
 (* Shared handler-name resolution for lint and simplify. *)
@@ -426,20 +414,19 @@ let lint strict format telemetry names =
   | `Json ->
       let diag_json (d : Abg_analysis.Lint.diag) =
         Printf.sprintf
-          "      {\"rule\": \"%s\", \"severity\": \"%s\", \"span\": \
-           \"%s\", \"message\": \"%s\", \"witness\": %s}"
-          (json_escape d.Abg_analysis.Lint.rule)
-          (Abg_analysis.Lint.severity_name d.Abg_analysis.Lint.severity)
-          (json_escape (Abg_dsl.Pretty.num d.Abg_analysis.Lint.expr))
-          (json_escape d.Abg_analysis.Lint.message)
+          "      {\"rule\": %s, \"severity\": %s, \"span\": %s, \
+           \"message\": %s, \"witness\": %s}"
+          (json_str d.Abg_analysis.Lint.rule)
+          (json_str (Abg_analysis.Lint.severity_name d.Abg_analysis.Lint.severity))
+          (json_str (Abg_dsl.Pretty.num d.Abg_analysis.Lint.expr))
+          (json_str d.Abg_analysis.Lint.message)
           (json_witness d.Abg_analysis.Lint.witness)
       in
       let handler_json (name, handler, diags) =
         Printf.sprintf
-          "  {\"handler\": \"%s\", \"expr\": \"%s\", \"diagnostics\": \
-           [%s]}"
-          (json_escape name)
-          (json_escape (Abg_dsl.Pretty.num handler))
+          "  {\"handler\": %s, \"expr\": %s, \"diagnostics\": [%s]}"
+          (json_str name)
+          (json_str (Abg_dsl.Pretty.num handler))
           (match diags with
           | [] -> ""
           | diags ->
@@ -534,21 +521,17 @@ let simplify_cmd =
 
 (* -- telemetry -- *)
 
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
 let telemetry_diff baseline_path current_path =
-  let baseline = read_file baseline_path and current = read_file current_path in
+  let baseline = Abg_batch.Store.read_file baseline_path
+  and current = Abg_batch.Store.read_file current_path in
   match Abg_obs.Report.diff_counters ~baseline ~current with
-  | exception Abg_obs.Report.Parse_error msg ->
+  | exception Abg_util.Json.Malformed msg ->
       Printf.eprintf "telemetry diff: %s\n" msg;
       exit 1
   | [] ->
       let n =
-        List.length (Abg_obs.Report.counters_of_json (Abg_obs.Report.parse current))
+        List.length
+          (Abg_obs.Report.counters_of_json (Abg_util.Json.parse current))
       in
       Printf.printf "counters agree (%d counters)\n" n
   | drifts ->
@@ -581,8 +564,11 @@ let telemetry_diff_cmd =
   Cmd.v info Term.(const telemetry_diff $ baseline_arg $ current_arg)
 
 let telemetry_show path =
-  match Abg_obs.Report.(counters_of_json (parse (read_file path))) with
-  | exception Abg_obs.Report.Parse_error msg ->
+  match
+    Abg_obs.Report.counters_of_json
+      (Abg_util.Json.parse (Abg_batch.Store.read_file path))
+  with
+  | exception Abg_util.Json.Malformed msg ->
       Printf.eprintf "telemetry show: %s\n" msg;
       exit 1
   | counters ->
@@ -1112,20 +1098,9 @@ let stream socket tcp json trace_files telemetry =
       trace_files
   in
   let lines = Abg_serve.Client.stream (endpoint_of socket tcp) flows in
-  if json then begin
-    let rows =
-      Abg_serve.Client.verdicts lines
-      |> List.map (fun (sid, window, distance, verdict) ->
-             Abg_batch.Jsonx.Obj
-               [
-                 ("sid", Abg_batch.Jsonx.Str sid);
-                 ("window", Abg_batch.Jsonx.Num (float_of_int window));
-                 ("distance", Abg_batch.Jsonx.hex distance);
-                 ("verdict", Abg_batch.Jsonx.Str verdict);
-               ])
-    in
-    print_endline (Abg_batch.Jsonx.to_string (Abg_batch.Jsonx.List rows))
-  end
+  if json then
+    print_endline
+      (Abg_util.Json.to_string (Abg_serve.Client.verdicts_json lines))
   else List.iter print_endline lines
 
 let stream_cmd =
@@ -1163,7 +1138,7 @@ type fuzz_spec = {
 }
 
 let fuzz_spec_to_json s =
-  let open Abg_batch.Jsonx in
+  let open Abg_util.Json in
   let p = s.fz_params in
   Obj
     [
@@ -1184,7 +1159,7 @@ let fuzz_spec_to_json s =
     ]
 
 let fuzz_spec_of_json json =
-  let open Abg_batch.Jsonx in
+  let open Abg_util.Json in
   let ctx = "fuzz" in
   let fitness_token = str ~ctx (member ~ctx "fitness" json) in
   let fz_fitness =
@@ -1215,21 +1190,11 @@ let fuzz_spec_of_json json =
     fz_synth_duration = hex_float (member ~ctx "synth_duration" json);
   }
 
-let rec fuzz_mkdir_p path =
-  if not (Sys.file_exists path) then begin
-    fuzz_mkdir_p (Filename.dirname path);
-    try Sys.mkdir path 0o755 with Sys_error _ when Sys.file_exists path -> ()
-  end
-
 let write_fuzz_spec dir spec =
-  fuzz_mkdir_p dir;
+  Abg_batch.Store.mkdir_p dir;
   let path = fuzz_spec_path dir in
-  let tmp = path ^ ".tmp" in
-  let oc = open_out_bin tmp in
-  output_string oc (Abg_batch.Jsonx.to_string (fuzz_spec_to_json spec));
-  output_string oc "\n";
-  close_out oc;
-  Sys.rename tmp path
+  Abg_batch.Store.write_durable ~tmp:(path ^ ".tmp") path
+    (Abg_util.Json.to_string (fuzz_spec_to_json spec) ^ "\n")
 
 let read_fuzz_spec dir =
   let path = fuzz_spec_path dir in
@@ -1237,13 +1202,7 @@ let read_fuzz_spec dir =
     Printf.eprintf "%s: no fuzz run here (missing fuzz.json)\n" dir;
     exit 1
   end;
-  let ic = open_in_bin path in
-  let content =
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  in
-  fuzz_spec_of_json (Abg_batch.Jsonx.parse content)
+  fuzz_spec_of_json (Abg_util.Json.parse (Abg_batch.Store.read_file path))
 
 (* The scenario impairment seed is the search seed: one --seed pins the
    entire run. *)
@@ -1339,7 +1298,7 @@ let fuzz_refine spec champion_cfg =
   Abg_core.Synthesis.run_configs ~config ~configs ~name:spec.fz_cca ctor
 
 let fuzz_report_doc spec (result : Abg_fuzz.Search.result) =
-  let open Abg_batch.Jsonx in
+  let open Abg_util.Json in
   let champion_cfg = fuzz_champion_config spec result.Abg_fuzz.Search.champion in
   let generations =
     List.map
@@ -1416,7 +1375,7 @@ let fuzz_report_doc spec (result : Abg_fuzz.Search.result) =
     @ extras)
 
 let fuzz_render_text spec (result : Abg_fuzz.Search.result) doc =
-  let open Abg_batch.Jsonx in
+  let open Abg_util.Json in
   let buf = Buffer.create 2048 in
   let p = spec.fz_params in
   Buffer.add_string buf
@@ -1544,7 +1503,7 @@ let fuzz_finish ~dir ~settings ~workers ~retries ~domains ~verbose ~json spec
       ~flush_window:0.0 ~checkpoint_every:1024 ~verbose spec
   in
   let doc = fuzz_report_doc spec result in
-  if json then print_endline (Abg_batch.Jsonx.to_string doc)
+  if json then print_endline (Abg_util.Json.to_string doc)
   else print_string (fuzz_render_text spec result doc)
 
 let fuzz_run dir fitness cca cca_b generations pop duration synth_scenarios

@@ -10,6 +10,8 @@
     [fuzz resume] and [fuzz report] re-derive a whole search without any
     mutable search state on disk. *)
 
+module Json = Abg_util.Json
+
 type spec = {
   fitness : Abg_fuzz.Fitness.kind;
   cca : string;
@@ -70,10 +72,10 @@ let evaluate ~dir ~settings (spec : spec) ~gen genomes =
     (fun (e : Journal.entry) ->
       match (e.Journal.status, e.Journal.result) with
       | Journal.Ok, Some blob -> (
-          match Jsonx.parse (Store.get store blob) with
+          match Json.parse (Store.get store blob) with
           | doc -> (
-              match Jsonx.member_opt "value" doc with
-              | Some v -> Hashtbl.replace values e.Journal.job (Jsonx.hex_float v)
+              match Json.member_opt "value" doc with
+              | Some v -> Hashtbl.replace values e.Journal.job (Json.hex_float v)
               | None -> ())
           | exception _ -> ())
       | _ -> Hashtbl.replace values e.Journal.job failed_fitness)

@@ -63,9 +63,9 @@ val kind_of_token : string -> (kind, string) result
 val describe : t -> string
 (** Human one-liner: kind, cca, scenario count, seed. *)
 
-val to_json : t -> Jsonx.t
-val of_json : Jsonx.t -> t
-(** Raises {!Jsonx.Malformed} on shape errors. *)
+val to_json : t -> Abg_util.Json.t
+val of_json : Abg_util.Json.t -> t
+(** Raises {!Abg_util.Json.Malformed} on shape errors. *)
 
 val digest : t -> string
 (** MD5 hex of the canonical serialization: two jobs share a digest iff

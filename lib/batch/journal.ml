@@ -1,6 +1,8 @@
 (* Append-only fsync'd completion journal with checkpoints. See
    journal.mli. *)
 
+module Json = Abg_util.Json
+
 type status = Ok | Quarantined
 
 type entry = {
@@ -14,37 +16,33 @@ type entry = {
 let status_name = function Ok -> "ok" | Quarantined -> "quarantined"
 
 let entry_to_line entry =
-  let opt = function None -> Jsonx.Null | Some s -> Jsonx.Str s in
-  Jsonx.to_string
-    (Jsonx.Obj
+  let opt = function None -> Json.Null | Some s -> Json.Str s in
+  Json.to_string
+    (Json.Obj
        [
-         ("job", Jsonx.Str entry.job);
-         ("status", Jsonx.Str (status_name entry.status));
-         ("attempts", Jsonx.Num (float_of_int entry.attempts));
+         ("job", Json.Str entry.job);
+         ("status", Json.Str (status_name entry.status));
+         ("attempts", Json.Num (float_of_int entry.attempts));
          ("result", opt entry.result);
          ("error", opt entry.error);
        ])
 
 let entry_of_line line =
-  let json =
-    try Jsonx.parse line
-    with Abg_obs.Report.Parse_error msg ->
-      raise (Jsonx.Malformed ("journal line: " ^ msg))
-  in
+  let json = Json.parse line in
   let ctx = "journal" in
   let opt key =
-    match Jsonx.member ~ctx key json with
-    | Jsonx.Null -> None
-    | j -> Some (Jsonx.str ~ctx:("journal." ^ key) j)
+    match Json.member ~ctx key json with
+    | Json.Null -> None
+    | j -> Some (Json.str ~ctx:("journal." ^ key) j)
   in
   {
-    job = Jsonx.str ~ctx (Jsonx.member ~ctx "job" json);
+    job = Json.str ~ctx (Json.member ~ctx "job" json);
     status =
-      (match Jsonx.str ~ctx (Jsonx.member ~ctx "status" json) with
+      (match Json.str ~ctx (Json.member ~ctx "status" json) with
       | "ok" -> Ok
       | "quarantined" -> Quarantined
-      | other -> raise (Jsonx.Malformed ("journal: unknown status " ^ other)));
-    attempts = Jsonx.int ~ctx (Jsonx.member ~ctx "attempts" json);
+      | other -> raise (Json.Malformed ("journal: unknown status " ^ other)));
+    attempts = Json.int ~ctx (Json.member ~ctx "attempts" json);
     result = opt "result";
     error = opt "error";
   }
@@ -89,26 +87,26 @@ let checkpoint_line entries =
   List.iter (pack_entry buf) sorted;
   let packed = Buffer.contents buf in
   let errors =
-    Jsonx.List
+    Json.List
       (List.filter_map
          (fun e ->
            match e.error with
            | None -> None
-           | Some err -> Some (Jsonx.List [ Jsonx.Str e.job; Jsonx.Str err ]))
+           | Some err -> Some (Json.List [ Json.Str e.job; Json.Str err ]))
          sorted)
   in
-  let hash = Digest.to_hex (Digest.string (packed ^ Jsonx.to_string errors)) in
-  Jsonx.to_string
-    (Jsonx.Obj
+  let hash = Digest.to_hex (Digest.string (packed ^ Json.to_string errors)) in
+  Json.to_string
+    (Json.Obj
        [
          ( "checkpoint",
-           Jsonx.Obj
+           Json.Obj
              [
-               ("schema", Jsonx.Str checkpoint_schema);
-               ("covers", Jsonx.Num (float_of_int (List.length sorted)));
-               ("packed", Jsonx.Str packed);
+               ("schema", Json.Str checkpoint_schema);
+               ("covers", Json.Num (float_of_int (List.length sorted)));
+               ("packed", Json.Str packed);
                ("errors", errors);
-               ("hash", Jsonx.Str hash);
+               ("hash", Json.Str hash);
              ] );
        ])
 
@@ -118,25 +116,25 @@ let parse_checkpoint line =
   match
     (fun () ->
       let ctx = "checkpoint" in
-      let doc = Jsonx.parse line in
-      let cp = Jsonx.member ~ctx "checkpoint" doc in
-      let schema = Jsonx.str ~ctx (Jsonx.member ~ctx "schema" cp) in
+      let doc = Json.parse line in
+      let cp = Json.member ~ctx "checkpoint" doc in
+      let schema = Json.str ~ctx (Json.member ~ctx "schema" cp) in
       if schema <> checkpoint_schema then failwith "schema mismatch";
-      let covers = Jsonx.int ~ctx (Jsonx.member ~ctx "covers" cp) in
-      let packed = Jsonx.str ~ctx (Jsonx.member ~ctx "packed" cp) in
-      let errors_json = Jsonx.member ~ctx "errors" cp in
-      let hash = Jsonx.str ~ctx (Jsonx.member ~ctx "hash" cp) in
+      let covers = Json.int ~ctx (Json.member ~ctx "covers" cp) in
+      let packed = Json.str ~ctx (Json.member ~ctx "packed" cp) in
+      let errors_json = Json.member ~ctx "errors" cp in
+      let hash = Json.str ~ctx (Json.member ~ctx "hash" cp) in
       if
-        Digest.to_hex (Digest.string (packed ^ Jsonx.to_string errors_json))
+        Digest.to_hex (Digest.string (packed ^ Json.to_string errors_json))
         <> hash
       then failwith "hash mismatch";
       if String.length packed <> covers * record_width then
         failwith "length mismatch";
       let errors =
-        Jsonx.list ~ctx errors_json
+        Json.list ~ctx errors_json
         |> List.map (fun pair ->
-               match Jsonx.list ~ctx pair with
-               | [ job; err ] -> (Jsonx.str ~ctx job, Jsonx.str ~ctx err)
+               match Json.list ~ctx pair with
+               | [ job; err ] -> (Json.str ~ctx job, Json.str ~ctx err)
                | _ -> failwith "bad error pair")
       in
       List.init covers (fun i ->
@@ -168,14 +166,9 @@ type t = { fd : Unix.file_descr; m : Mutex.t }
    otherwise O_APPEND would glue the next entry onto the fragment,
    turning a harmless crash artifact into interior corruption. *)
 let truncate_torn_tail path =
-  match open_in_bin path with
+  match Store.read_file path with
   | exception Sys_error _ -> ()
-  | ic ->
-      let content =
-        Fun.protect
-          ~finally:(fun () -> close_in_noerr ic)
-          (fun () -> really_input_string ic (in_channel_length ic))
-      in
+  | content ->
       let len = String.length content in
       if len > 0 && content.[len - 1] <> '\n' then begin
         let keep =
@@ -231,12 +224,6 @@ let terminated_lines content =
   |> terminated []
   |> List.filter (fun l -> String.trim l <> "")
 
-let read_all path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
 (* First occurrence per job digest wins: a checkpoint only repeats
    outcomes already present as lines (or, post-compaction, is the only
    copy), so dedup keeps replay's result a set keyed by job. *)
@@ -254,7 +241,7 @@ let dedup entries =
 let replay path =
   if not (Sys.file_exists path) then []
   else begin
-    let lines = Array.of_list (terminated_lines (read_all path)) in
+    let lines = Array.of_list (terminated_lines (Store.read_file path)) in
     let n = Array.length lines in
     let entries = ref [] in
     Array.iteri
@@ -267,7 +254,7 @@ let replay path =
                  (its outcomes are covered by the preceding lines); an
                  interior one is corruption. *)
               if i < n - 1 then
-                raise (Jsonx.Malformed "journal: invalid interior checkpoint")
+                raise (Json.Malformed "journal: invalid interior checkpoint")
         end
         else entries := entry_of_line line :: !entries)
       lines;
@@ -277,7 +264,7 @@ let replay path =
 let replay_checkpointed path =
   if not (Sys.file_exists path) then []
   else begin
-    let lines = Array.of_list (terminated_lines (read_all path)) in
+    let lines = Array.of_list (terminated_lines (Store.read_file path)) in
     let n = Array.length lines in
     (* Last valid checkpoint, scanning backwards; an invalid one falls
        back to its predecessor. Only the prefix test touches the lines
@@ -302,29 +289,7 @@ let replay_checkpointed path =
     dedup (base @ List.rev !tail)
   end
 
-let fsync_dir path =
-  match Unix.openfile path [ Unix.O_RDONLY ] 0 with
-  | exception Unix.Unix_error _ -> ()
-  | fd ->
-      Fun.protect
-        ~finally:(fun () -> Unix.close fd)
-        (fun () -> try Unix.fsync fd with Unix.Unix_error _ -> ())
-
 let compact path =
-  if Sys.file_exists path then begin
-    let entries = replay_checkpointed path in
-    let tmp = path ^ ".compact" in
-    let fd =
-      Unix.openfile tmp [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o644
-    in
-    Fun.protect
-      ~finally:(fun () -> Unix.close fd)
-      (fun () ->
-        let payload = checkpoint_line entries ^ "\n" in
-        let n = String.length payload in
-        let written = Unix.write_substring fd payload 0 n in
-        if written <> n then failwith "Journal.compact: short write";
-        Unix.fsync fd);
-    Sys.rename tmp path;
-    fsync_dir (Filename.dirname path)
-  end
+  if Sys.file_exists path then
+    Store.write_durable ~tmp:(path ^ ".compact") path
+      (checkpoint_line (replay_checkpointed path) ^ "\n")

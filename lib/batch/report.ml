@@ -4,6 +4,8 @@
    clock, or scheduling order — the CI kill-and-resume smoke job diffs
    the reports of two different run directories byte-for-byte. *)
 
+module Json = Abg_util.Json
+
 let ( / ) = Filename.concat
 
 type row = {
@@ -31,29 +33,29 @@ let result_doc ~verify store (row : row) =
   match row.entry with
   | Some { Journal.status = Journal.Ok; result = Some blob; _ } ->
       let read = if verify then Store.get else Store.get_unverified in
-      Some (Jsonx.parse (read store blob))
+      Some (Json.parse (read store blob))
   | _ -> None
 
 (* -- field accessors over result documents -- *)
 
 let str_field doc key =
-  match Jsonx.member_opt key doc with
-  | Some (Jsonx.Str s) -> Some s
+  match Json.member_opt key doc with
+  | Some (Json.Str s) -> Some s
   | _ -> None
 
 let num_field doc key =
-  match Jsonx.member_opt key doc with
-  | Some (Jsonx.Num n) -> Some n
+  match Json.member_opt key doc with
+  | Some (Json.Num n) -> Some n
   | _ -> None
 
 let hex_field doc key =
-  match Jsonx.member_opt key doc with
-  | Some (Jsonx.Str _ as j) -> Some (Jsonx.hex_float j)
+  match Json.member_opt key doc with
+  | Some (Json.Str _ as j) -> Some (Json.hex_float j)
   | _ -> None
 
 let found doc =
-  match Jsonx.member_opt "found" doc with
-  | Some (Jsonx.Bool b) -> b
+  match Json.member_opt "found" doc with
+  | Some (Json.Bool b) -> b
   | _ -> false
 
 let fmt_dist = Printf.sprintf "%.4f"
@@ -124,8 +126,8 @@ let collect_row doc_of (row : row) =
   | None -> Printf.sprintf "  %-12s PENDING" row.job.Job.cca
   | Some doc ->
       let traces =
-        match Jsonx.member_opt "traces" doc with
-        | Some (Jsonx.List l) -> l
+        match Json.member_opt "traces" doc with
+        | Some (Json.List l) -> l
         | _ -> []
       in
       let records =

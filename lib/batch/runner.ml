@@ -1,5 +1,7 @@
 (* Crash-safe batch runner. See runner.mli for the contract. *)
 
+module Json = Abg_util.Json
+
 type settings = {
   retries : int;
   backoff_s : float;
@@ -97,9 +99,9 @@ let constructor_of cca =
 
 let result_header kind cca =
   [
-    ("schema", Jsonx.Str "abagnale-result/1");
-    ("kind", Jsonx.Str kind);
-    ("cca", Jsonx.Str cca);
+    ("schema", Json.Str "abagnale-result/1");
+    ("kind", Json.Str kind);
+    ("cca", Json.Str cca);
   ]
 
 let perform_collect ~store (job : Job.t) =
@@ -111,20 +113,20 @@ let perform_collect ~store (job : Job.t) =
     List.map2
       (fun cfg trace ->
         let blob = Store.put store (Abg_trace.Io.to_string trace) in
-        Jsonx.Obj
+        Json.Obj
           [
-            ("scenario", Jsonx.Str trace.Abg_trace.Trace.scenario);
-            ("config", Jsonx.Str (Abg_netsim.Config.digest cfg));
-            ("records", Jsonx.Num (float_of_int (Abg_trace.Trace.length trace)));
+            ("scenario", Json.Str trace.Abg_trace.Trace.scenario);
+            ("config", Json.Str (Abg_netsim.Config.digest cfg));
+            ("records", Json.Num (float_of_int (Abg_trace.Trace.length trace)));
             ("losses",
-             Jsonx.Num
+             Json.Num
                (float_of_int
                   (Array.length trace.Abg_trace.Trace.loss_times)));
-            ("blob", Jsonx.Str blob);
+            ("blob", Json.Str blob);
           ])
       job.Job.configs traces
   in
-  Jsonx.Obj (result_header "collect" job.Job.cca @ [ ("traces", Jsonx.List rows) ])
+  Json.Obj (result_header "collect" job.Job.cca @ [ ("traces", Json.List rows) ])
 
 let dsl_of_name name =
   match Abg_dsl.Catalog.find name with
@@ -133,27 +135,27 @@ let dsl_of_name name =
 
 let synthesis_fields (outcome : Abg_core.Synthesis.outcome option) =
   match outcome with
-  | None -> [ ("found", Jsonx.Bool false) ]
+  | None -> [ ("found", Json.Bool false) ]
   | Some o ->
       let r = o.Abg_core.Synthesis.refinement in
       [
-        ("found", Jsonx.Bool true);
-        ("dsl", Jsonx.Str o.Abg_core.Synthesis.dsl_name);
-        ("handler", Jsonx.Str o.Abg_core.Synthesis.pretty);
+        ("found", Json.Bool true);
+        ("dsl", Json.Str o.Abg_core.Synthesis.dsl_name);
+        ("handler", Json.Str o.Abg_core.Synthesis.pretty);
         (* Machine-readable handler: the pretty form is for humans, the
            codec form round-trips losslessly (fuzz counterexample runs
            feed it back into scenario evaluation). *)
         ("handler_code",
-         Jsonx.Str (Abg_fuzz.Codec.encode_num o.Abg_core.Synthesis.handler));
-        ("distance", Jsonx.hex o.Abg_core.Synthesis.distance);
-        ("segments", Jsonx.Num (float_of_int o.Abg_core.Synthesis.segments_used));
+         Json.Str (Abg_fuzz.Codec.encode_num o.Abg_core.Synthesis.handler));
+        ("distance", Json.hex o.Abg_core.Synthesis.distance);
+        ("segments", Json.Num (float_of_int o.Abg_core.Synthesis.segments_used));
         ("sketches",
-         Jsonx.Num
+         Json.Num
            (float_of_int r.Abg_core.Refinement.total_sketches_scored));
         ("handlers",
-         Jsonx.Num
+         Json.Num
            (float_of_int r.Abg_core.Refinement.total_handlers_scored));
-        ("prune_rate", Jsonx.hex r.Abg_core.Refinement.prune_rate);
+        ("prune_rate", Json.hex r.Abg_core.Refinement.prune_rate);
       ]
 
 let perform_synth ~settings (job : Job.t) ~dsl =
@@ -166,7 +168,7 @@ let perform_synth ~settings (job : Job.t) ~dsl =
     Abg_core.Synthesis.run_configs ~config ?dsl ~configs:job.Job.configs
       ~name:job.Job.cca ctor
   in
-  Jsonx.Obj (result_header "synth" job.Job.cca @ synthesis_fields outcome)
+  Json.Obj (result_header "synth" job.Job.cca @ synthesis_fields outcome)
 
 let perform_classify ~store (job : Job.t) =
   let ctor = constructor_of job.Job.cca in
@@ -186,19 +188,19 @@ let perform_classify ~store (job : Job.t) =
   let closest =
     List.filteri (fun i _ -> i < 5) cc.Abg_classifier.Ccanalyzer.closest
     |> List.map (fun (name, d) ->
-           Jsonx.List [ Jsonx.Str name; Jsonx.hex d ])
+           Json.List [ Json.Str name; Json.hex d ])
   in
-  Jsonx.Obj
+  Json.Obj
     (result_header "classify" job.Job.cca
     @ [
         ("gordon",
-         Jsonx.Str (Abg_classifier.Gordon.verdict_to_string gordon));
+         Json.Str (Abg_classifier.Gordon.verdict_to_string gordon));
         ("ccanalyzer",
-         Jsonx.Str
+         Json.Str
            (Abg_classifier.Gordon.verdict_to_string
               cc.Abg_classifier.Ccanalyzer.verdict));
-        ("closest", Jsonx.List closest);
-        ("features", Jsonx.Str features_blob);
+        ("closest", Json.List closest);
+        ("features", Json.Str features_blob);
       ])
 
 let perform_noise ~settings (job : Job.t) ~stddev ~keep =
@@ -225,14 +227,14 @@ let perform_noise ~settings (job : Job.t) ~stddev ~keep =
     | Some o ->
         [
           ("distance_clean",
-           Jsonx.hex
+           Json.hex
              (Abg_core.Abagnale.handler_distance
                 ~handler:o.Abg_core.Synthesis.handler clean));
         ]
   in
-  Jsonx.Obj
+  Json.Obj
     (result_header "noise" job.Job.cca
-    @ [ ("stddev", Jsonx.hex stddev); ("keep", Jsonx.hex keep) ]
+    @ [ ("stddev", Json.hex stddev); ("keep", Json.hex keep) ]
     @ synthesis_fields outcome
     @ clean_fields)
 
@@ -244,9 +246,9 @@ let perform_probe ~attempt (job : Job.t) ~fail_attempts ~sleep_ms =
     List.fold_left ( + ) (job.Job.seed * 31) (List.map Char.code
       (List.init (String.length job.Job.cca) (String.get job.Job.cca)))
   in
-  Jsonx.Obj
+  Json.Obj
     (result_header "probe" job.Job.cca
-    @ [ ("payload", Jsonx.Str "ok"); ("checksum", Jsonx.Num (float_of_int checksum)) ])
+    @ [ ("payload", Json.Str "ok"); ("checksum", Json.Num (float_of_int checksum)) ])
 
 (* One fitness evaluation of one scenario genome. The job's single
    config *is* the decoded scenario; the genome string rides along as
@@ -276,13 +278,13 @@ let perform_fuzz_eval (job : Job.t) ~fitness ~cca_b ~handler ~genome =
   in
   let spec = { Abg_fuzz.Fitness.kind; cca = job.Job.cca; cca_b; handler } in
   let value = Abg_fuzz.Fitness.evaluate spec cfg in
-  Jsonx.Obj
+  Json.Obj
     (result_header "fuzz" job.Job.cca
     @ [
-        ("fitness", Jsonx.Str fitness);
-        ("genome", Jsonx.Str genome);
-        ("config", Jsonx.Str (Abg_netsim.Config.digest cfg));
-        ("value", Jsonx.hex value);
+        ("fitness", Json.Str fitness);
+        ("genome", Json.Str genome);
+        ("config", Json.Str (Abg_netsim.Config.digest cfg));
+        ("value", Json.hex value);
       ])
 
 let perform ~settings ~store ~attempt (job : Job.t) =
@@ -329,7 +331,7 @@ let run_one ~settings ~store ~commit (digest, (job : Job.t)) =
       | exception e -> Error (Printexc.to_string e)
     in
     match outcome with
-    | Ok result -> (attempt, Ok (Store.put store (Jsonx.to_string result)))
+    | Ok result -> (attempt, Ok (Store.put store (Json.to_string result)))
     | Error err ->
         log settings "[batch] %s attempt %d/%d failed: %s\n%!"
           (Job.describe job) attempt max_attempts err;
@@ -382,18 +384,8 @@ let run_one ~settings ~store ~commit (digest, (job : Job.t)) =
 
 (* -- run directories -- *)
 
-let mkdir_p path =
-  let rec go path =
-    if not (Sys.file_exists path) then begin
-      go (Filename.dirname path);
-      try Sys.mkdir path 0o755
-      with Sys_error _ when Sys.file_exists path -> ()
-    end
-  in
-  go path
-
 let init ~dir jobs =
-  mkdir_p dir;
+  Store.mkdir_p dir;
   let path = grid_path dir in
   if Sys.file_exists path then
     invalid_arg
@@ -401,30 +393,18 @@ let init ~dir jobs =
          "Runner.init: %s already contains a batch run; use resume" dir);
   ignore (Store.open_ (store_path dir));
   let doc =
-    Jsonx.Obj
+    Json.Obj
       [
-        ("schema", Jsonx.Str "abagnale-grid/1");
-        ("jobs", Jsonx.List (List.map Job.to_json jobs));
+        ("schema", Json.Str "abagnale-grid/1");
+        ("jobs", Json.List (List.map Job.to_json jobs));
       ]
   in
   (* Atomic, durable grid write: resume must never see a torn job list. *)
-  let tmp = path ^ ".tmp" in
-  let oc = open_out_bin tmp in
-  output_string oc (Jsonx.to_string doc);
-  output_string oc "\n";
-  close_out oc;
-  Sys.rename tmp path
+  Store.write_durable ~tmp:(path ^ ".tmp") path (Json.to_string doc ^ "\n")
 
 let jobs_of_dir ~dir =
-  let path = grid_path dir in
-  let ic = open_in_bin path in
-  let content =
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  in
-  let doc = Jsonx.parse content in
-  Jsonx.list ~ctx:"grid.jobs" (Jsonx.member ~ctx:"grid" "jobs" doc)
+  let doc = Json.parse (Store.read_file (grid_path dir)) in
+  Json.list ~ctx:"grid.jobs" (Json.member ~ctx:"grid" "jobs" doc)
   |> List.map Job.of_json
   |> List.sort Job.compare_canonical
 
@@ -523,9 +503,9 @@ let is_hex32 s =
    conservative over-approximation that keeps GC safe as result schemas
    grow new fields. *)
 let rec add_refs tbl = function
-  | Jsonx.Str s when is_hex32 s -> Hashtbl.replace tbl s ()
-  | Jsonx.List l -> List.iter (add_refs tbl) l
-  | Jsonx.Obj fields -> List.iter (fun (_, v) -> add_refs tbl v) fields
+  | Json.Str s when is_hex32 s -> Hashtbl.replace tbl s ()
+  | Json.List l -> List.iter (add_refs tbl) l
+  | Json.Obj fields -> List.iter (fun (_, v) -> add_refs tbl v) fields
   | _ -> ()
 
 let gc ~dir =
@@ -538,7 +518,7 @@ let gc ~dir =
           Hashtbl.replace live blob ();
           match Store.get store blob with
           | content -> (
-              match Jsonx.parse content with
+              match Json.parse content with
               | doc -> add_refs live doc
               | exception _ -> ())
           | exception Not_found -> ())

@@ -131,6 +131,6 @@ val compact : dir:string -> unit
 (** {!Journal.compact} every journal in the family. Offline only. *)
 
 val perform :
-  settings:settings -> store:Store.t -> attempt:int -> Job.t -> Jsonx.t
+  settings:settings -> store:Store.t -> attempt:int -> Job.t -> Abg_util.Json.t
 (** Execute one job body (no retries/journaling) and return its result
     document — exposed for tests and the report's schema. *)

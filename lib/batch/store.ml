@@ -19,6 +19,8 @@
    complete after any crash. A torn pack tail (kill mid-append) simply
    ends the scan: the torn record's blob was never acknowledged. *)
 
+module Json = Abg_util.Json
+
 type pack_record = { offset : int; bytes : int }
 
 type t = {
@@ -40,7 +42,7 @@ type t = {
 exception Corrupt of string
 
 let schema = "abagnale-store/2"
-let manifest_content = "{\"schema\":\"" ^ schema ^ "\"}\n"
+let manifest_content = Json.to_string (Json.Obj [ ("schema", Json.Str schema) ]) ^ "\n"
 
 (* Skipped-verification reads and GC sweeps depend on CLI flags and
    crash history, not on workload alone — volatile, like the other
@@ -52,15 +54,11 @@ let obs_gc_swept = Abg_obs.Obs.Counter.make ~volatile:true "batch.gc_swept"
 
 let ( / ) = Filename.concat
 
-let mkdir_p path =
-  let rec go path =
-    if not (Sys.file_exists path) then begin
-      go (Filename.dirname path);
-      try Sys.mkdir path 0o755
-      with Sys_error _ when Sys.file_exists path -> ()
-    end
-  in
-  go path
+let rec mkdir_p path =
+  if not (Sys.file_exists path) then begin
+    mkdir_p (Filename.dirname path);
+    try Sys.mkdir path 0o755 with Sys_error _ when Sys.file_exists path -> ()
+  end
 
 let read_file path =
   let ic = open_in_bin path in
@@ -77,20 +75,6 @@ let write_file path content =
     ~finally:(fun () -> close_out_noerr oc)
     (fun () -> output_string oc content)
 
-(* Durable write: all bytes down, fsync'd, before the caller renames the
-   file into its content-addressed slot. *)
-let write_file_sync path content =
-  let fd =
-    Unix.openfile path [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o644
-  in
-  Fun.protect
-    ~finally:(fun () -> Unix.close fd)
-    (fun () ->
-      let n = String.length content in
-      let written = Unix.write_substring fd content 0 n in
-      if written <> n then failwith "Store: short write";
-      Unix.fsync fd)
-
 (* Make a rename durable: fsync the containing directory so the new
    directory entry itself survives a crash. *)
 let fsync_dir path =
@@ -100,6 +84,22 @@ let fsync_dir path =
       Fun.protect
         ~finally:(fun () -> Unix.close fd)
         (fun () -> try Unix.fsync fd with Unix.Unix_error _ -> ())
+
+(* All bytes down and fsync'd under [tmp] before the rename publishes
+   them, then the directory fsync makes the rename itself durable. *)
+let write_durable ~tmp path content =
+  let fd =
+    Unix.openfile tmp [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o644
+  in
+  Fun.protect
+    ~finally:(fun () -> Unix.close fd)
+    (fun () ->
+      let n = String.length content in
+      let written = Unix.write_substring fd content 0 n in
+      if written <> n then failwith "Store: short write";
+      Unix.fsync fd);
+  Sys.rename tmp path;
+  fsync_dir (Filename.dirname path)
 
 let fsync_path path =
   match Unix.openfile path [ Unix.O_RDONLY ] 0 with
@@ -142,10 +142,10 @@ let scan_pack path ~f =
           (try
              while pos_in ic < total do
                let header = input_line ic in
-               let json = Jsonx.parse header in
+               let json = Json.parse header in
                let ctx = "pack" in
-               let digest = Jsonx.str ~ctx (Jsonx.member ~ctx "blob" json) in
-               let bytes = Jsonx.int ~ctx (Jsonx.member ~ctx "bytes" json) in
+               let digest = Json.str ~ctx (Json.member ~ctx "blob" json) in
+               let bytes = Json.int ~ctx (Json.member ~ctx "bytes" json) in
                if bytes < 0 || String.length digest <> 32 then raise Exit;
                let content_pos = pos_in ic in
                if content_pos + bytes + 1 > total then raise Exit;
@@ -155,8 +155,7 @@ let scan_pack path ~f =
                valid := pos_in ic
              done
            with
-          | End_of_file | Exit | Jsonx.Malformed _ | Failure _ -> ()
-          | Abg_obs.Report.Parse_error _ -> ());
+          | End_of_file | Exit | Json.Malformed _ | Failure _ -> ());
           !valid)
 
 (* -- open-time recovery -- *)
@@ -282,10 +281,9 @@ let open_ ?(deferred = false) root =
               (String.trim found)))
   end
   else begin
-    let tmp = tmp_dir t / Printf.sprintf "manifest.%d" (Unix.getpid ()) in
-    write_file_sync tmp manifest_content;
-    Sys.rename tmp manifest;
-    fsync_dir root
+    write_durable
+      ~tmp:(tmp_dir t / Printf.sprintf "manifest.%d" (Unix.getpid ()))
+      manifest manifest_content
   end;
   if deferred then open_own_pack t;
   t
@@ -297,13 +295,10 @@ let dir t = t.root
 let put_immediate t digest content =
   let path = blob_path t digest in
   if not (Sys.file_exists path) then begin
-    let tmp = next_tmp t in
-    write_file_sync tmp content;
     mkdir_p (Filename.dirname path);
     (* Concurrent puts of the same content race benignly: both rename
        identical bytes onto the same path, and rename is atomic. *)
-    Sys.rename tmp path;
-    fsync_dir (Filename.dirname path)
+    write_durable ~tmp:(next_tmp t) path content
   end
 
 let put t content =
@@ -341,8 +336,13 @@ let flush_staged t =
               List.map
                 (fun (digest, content) ->
                   let header =
-                    Printf.sprintf "{\"blob\":\"%s\",\"bytes\":%d}\n" digest
-                      (String.length content)
+                    Json.to_string
+                      (Json.Obj
+                         [
+                           ("blob", Json.Str digest);
+                           ("bytes", Json.Num (float_of_int (String.length content)));
+                         ])
+                    ^ "\n"
                   in
                   let offset =
                     t.pack_len + Buffer.length buf + String.length header

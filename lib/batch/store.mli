@@ -29,6 +29,27 @@
     afterwards; {!get} re-hashes content and raises {!Corrupt} on
     mismatch, so disk rot is detected at read time. *)
 
+(** {1 Durable files}
+
+    The file primitives the whole batch layer (and the CLI's fuzz run
+    directories) share. *)
+
+val mkdir_p : string -> unit
+(** Create a directory and its missing parents; tolerates a concurrent
+    creator. *)
+
+val read_file : string -> string
+(** A whole file's bytes. Raises [Sys_error] if it cannot be opened. *)
+
+val write_durable : tmp:string -> string -> string -> unit
+(** [write_durable ~tmp path content] replaces [path] atomically and
+    durably: [content] goes to [tmp] (same filesystem), which is
+    fsync'd, renamed over [path], and the directory holding [path] is
+    fsync'd so the new entry survives a crash. A failed directory fsync
+    is ignored. *)
+
+(** {1 The store} *)
+
 type t
 
 exception Corrupt of string

@@ -5,115 +5,50 @@
     fraction, and the ["counters"] section contains only the
     deterministic counters — so for a fixed seed two runs produce
     byte-identical ["counters"] sections, and CI can diff that section
-    against a committed baseline with no tolerance.
+    against a committed baseline with no tolerance ({!diff_counters}, the
+    comparison the [telemetry-gate] CI job runs). *)
 
-    The module also carries the reader side: a small JSON parser (for
-    exactly the documents this module and the bench harness emit) and
-    {!diff_counters}, the comparison the [telemetry-gate] CI job runs. *)
-
-(* -- Writer -- *)
-
-let escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
-(* Floats: shortest round-trip representation, with a guard so the output
-   is always a valid JSON number (no "inf"/"nan" tokens). *)
-let float_str v =
-  if Float.is_nan v then "null"
-  else if v = Float.infinity then "1e999"
-  else if v = Float.neg_infinity then "-1e999"
-  else
-    let s = Printf.sprintf "%.17g" v in
-    let shorter = Printf.sprintf "%.12g" v in
-    if float_of_string shorter = v then shorter else s
-
-let obj buf ~indent entries =
-  let pad = String.make indent ' ' in
-  if entries = [] then Buffer.add_string buf "{}"
-  else begin
-    Buffer.add_string buf "{\n";
-    List.iteri
-      (fun i (k, emit_value) ->
-        Buffer.add_string buf pad;
-        Buffer.add_string buf "  \"";
-        Buffer.add_string buf (escape k);
-        Buffer.add_string buf "\": ";
-        emit_value buf;
-        if i < List.length entries - 1 then Buffer.add_char buf ',';
-        Buffer.add_char buf '\n')
-      entries;
-    Buffer.add_string buf pad;
-    Buffer.add_char buf '}'
-  end
-
-let int_entries kvs =
-  List.map (fun (k, v) -> (k, fun buf -> Buffer.add_string buf (string_of_int v))) kvs
+module Json = Abg_util.Json
 
 let schema = "abagnale-telemetry/1"
 
-let to_json (s : Obs.snapshot) =
-  let buf = Buffer.create 4096 in
-  let histogram_value (sum : Obs.Histogram.summary) buf =
-    obj buf ~indent:4
+let int_obj kvs =
+  Json.Obj (List.map (fun (k, v) -> (k, Json.Num (float_of_int v))) kvs)
+
+let document (s : Obs.snapshot) =
+  let histogram (sum : Obs.Histogram.summary) =
+    Json.Obj
       [
-        ("count", fun b -> Buffer.add_string b (string_of_int sum.Obs.Histogram.count));
-        ("sum", fun b -> Buffer.add_string b (float_str sum.Obs.Histogram.sum));
+        ("count", Json.Num (float_of_int sum.Obs.Histogram.count));
+        ("sum", Json.Num sum.Obs.Histogram.sum);
         ( "buckets",
-          fun b ->
-            obj b ~indent:6
-              (List.map
-                 (fun (bk, n) ->
-                   ( string_of_int bk,
-                     fun b -> Buffer.add_string b (string_of_int n) ))
-                 sum.Obs.Histogram.nonzero) );
+          int_obj
+            (List.map (fun (bk, n) -> (string_of_int bk, n)) sum.Obs.Histogram.nonzero) );
       ]
   in
-  let floatcell_value (total, per_domain) buf =
-    obj buf ~indent:4
-      (( "total", fun b -> Buffer.add_string b (float_str total) )
+  let floatcell (total, per_domain) =
+    Json.Obj
+      (("total", Json.Num total)
       :: List.map
-           (fun (slot, v) ->
-             ( "domain" ^ string_of_int slot,
-               fun b -> Buffer.add_string b (float_str v) ))
+           (fun (slot, v) -> ("domain" ^ string_of_int slot, Json.Num v))
            per_domain)
   in
-  obj buf ~indent:0
+  Json.Obj
     [
-      ("schema", fun b -> Buffer.add_string b ("\"" ^ escape schema ^ "\""));
-      ("counters", fun b -> obj b ~indent:2 (int_entries s.Obs.counters));
-      ("volatile", fun b -> obj b ~indent:2 (int_entries s.Obs.volatile));
-      ( "gauges",
-        fun b ->
-          obj b ~indent:2
-            (List.map
-               (fun (k, v) -> (k, fun b -> Buffer.add_string b (float_str v)))
-               s.Obs.gauges) );
+      ("schema", Json.Str schema);
+      ("counters", int_obj s.Obs.counters);
+      ("volatile", int_obj s.Obs.volatile);
+      ("gauges", Json.Obj (List.map (fun (k, v) -> (k, Json.Num v)) s.Obs.gauges));
       ( "histograms",
-        fun b ->
-          obj b ~indent:2
-            (List.map
-               (fun (k, sum) -> (k, histogram_value sum))
-               s.Obs.histograms) );
+        Json.Obj (List.map (fun (k, sum) -> (k, histogram sum)) s.Obs.histograms) );
       ( "floatcells",
-        fun b ->
-          obj b ~indent:2
-            (List.map
-               (fun (k, total, per_domain) ->
-                 (k, floatcell_value (total, per_domain)))
-               s.Obs.floatcells) );
-    ];
-  Buffer.add_char buf '\n';
-  Buffer.contents buf
+        Json.Obj
+          (List.map
+             (fun (k, total, per_domain) -> (k, floatcell (total, per_domain)))
+             s.Obs.floatcells) );
+    ]
+
+let to_json s = Json.to_string_indented (document s) ^ "\n"
 
 (** [write path] serializes a fresh snapshot to [path]. *)
 let write path =
@@ -121,183 +56,13 @@ let write path =
   output_string oc (to_json (Obs.snapshot ()));
   close_out oc
 
-(* -- Reader: a minimal JSON parser --
-
-   Covers the full JSON grammar minus unicode escapes beyond \uXXXX
-   (decoded as a single byte when < 0x100, '?' otherwise) — more than
-   enough for the documents this module writes. Object member order is
-   preserved. *)
-
-type json =
-  | Null
-  | Bool of bool
-  | Num of float
-  | Str of string
-  | List of json list
-  | Obj of (string * json) list
-
-exception Parse_error of string
-
-let parse (s : string) : json =
-  let n = String.length s in
-  let pos = ref 0 in
-  let fail msg = raise (Parse_error (Printf.sprintf "%s at offset %d" msg !pos)) in
-  let peek () = if !pos < n then Some s.[!pos] else None in
-  let advance () = incr pos in
-  let rec skip_ws () =
-    match peek () with
-    | Some (' ' | '\t' | '\n' | '\r') ->
-        advance ();
-        skip_ws ()
-    | _ -> ()
-  in
-  let expect c =
-    match peek () with
-    | Some c' when c' = c -> advance ()
-    | _ -> fail (Printf.sprintf "expected '%c'" c)
-  in
-  let literal word v =
-    String.iter expect word;
-    v
-  in
-  let string_body () =
-    expect '"';
-    let buf = Buffer.create 16 in
-    let rec go () =
-      match peek () with
-      | None -> fail "unterminated string"
-      | Some '"' -> advance ()
-      | Some '\\' -> (
-          advance ();
-          match peek () with
-          | None -> fail "unterminated escape"
-          | Some c ->
-              advance ();
-              (match c with
-              | '"' -> Buffer.add_char buf '"'
-              | '\\' -> Buffer.add_char buf '\\'
-              | '/' -> Buffer.add_char buf '/'
-              | 'b' -> Buffer.add_char buf '\b'
-              | 'f' -> Buffer.add_char buf '\012'
-              | 'n' -> Buffer.add_char buf '\n'
-              | 'r' -> Buffer.add_char buf '\r'
-              | 't' -> Buffer.add_char buf '\t'
-              | 'u' ->
-                  if !pos + 4 > n then fail "truncated \\u escape";
-                  let hex = String.sub s !pos 4 in
-                  pos := !pos + 4;
-                  let code =
-                    try int_of_string ("0x" ^ hex)
-                    with _ -> fail "bad \\u escape"
-                  in
-                  Buffer.add_char buf
-                    (if code < 0x100 then Char.chr code else '?')
-              | _ -> fail "bad escape");
-              go ())
-      | Some c ->
-          advance ();
-          Buffer.add_char buf c;
-          go ()
-    in
-    go ();
-    Buffer.contents buf
-  in
-  let number () =
-    let start = !pos in
-    let is_num_char c =
-      match c with
-      | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
-      | _ -> false
-    in
-    while (match peek () with Some c -> is_num_char c | None -> false) do
-      advance ()
-    done;
-    let tok = String.sub s start (!pos - start) in
-    match float_of_string_opt tok with
-    | Some v -> v
-    | None -> fail (Printf.sprintf "bad number %S" tok)
-  in
-  let rec value () =
-    skip_ws ();
-    match peek () with
-    | None -> fail "unexpected end of input"
-    | Some '{' ->
-        advance ();
-        skip_ws ();
-        if peek () = Some '}' then begin
-          advance ();
-          Obj []
-        end
-        else begin
-          let members = ref [] in
-          let rec members_loop () =
-            skip_ws ();
-            let k = string_body () in
-            skip_ws ();
-            expect ':';
-            let v = value () in
-            members := (k, v) :: !members;
-            skip_ws ();
-            match peek () with
-            | Some ',' ->
-                advance ();
-                members_loop ()
-            | Some '}' -> advance ()
-            | _ -> fail "expected ',' or '}'"
-          in
-          members_loop ();
-          Obj (List.rev !members)
-        end
-    | Some '[' ->
-        advance ();
-        skip_ws ();
-        if peek () = Some ']' then begin
-          advance ();
-          List []
-        end
-        else begin
-          let items = ref [] in
-          let rec items_loop () =
-            let v = value () in
-            items := v :: !items;
-            skip_ws ();
-            match peek () with
-            | Some ',' ->
-                advance ();
-                items_loop ()
-            | Some ']' -> advance ()
-            | _ -> fail "expected ',' or ']'"
-          in
-          items_loop ();
-          List (List.rev !items)
-        end
-    | Some '"' -> Str (string_body ())
-    | Some 't' -> literal "true" (Bool true)
-    | Some 'f' -> literal "false" (Bool false)
-    | Some 'n' -> literal "null" Null
-    | Some _ -> Num (number ())
-  in
-  let v = value () in
-  skip_ws ();
-  if !pos <> n then fail "trailing content";
-  v
-
-let member name = function
-  | Obj members -> List.assoc_opt name members
-  | _ -> None
-
 (** The ["counters"] section of a telemetry document, as written — the
     deterministic subset a CI gate may diff. *)
-let counters_of_json (j : json) =
-  match member "counters" j with
-  | Some (Obj members) ->
-      List.map
-        (fun (k, v) ->
-          match v with
-          | Num f when Float.is_integer f -> (k, int_of_float f)
-          | _ -> raise (Parse_error ("non-integer counter " ^ k)))
-        members
-  | _ -> raise (Parse_error "missing \"counters\" object")
+let counters_of_json (j : Json.t) =
+  match Json.member_opt "counters" j with
+  | Some (Json.Obj members) ->
+      List.map (fun (k, v) -> (k, Json.int ~ctx:("counter " ^ k) v)) members
+  | _ -> raise (Json.Malformed "missing \"counters\" object")
 
 type drift =
   | Missing of string * int  (** in baseline, absent from current *)
@@ -314,8 +79,8 @@ let pp_drift = function
     drift, sorted by counter name; [[]] means the sections agree exactly
     (same keys, same values). *)
 let diff_counters ~baseline ~current =
-  let b = counters_of_json (parse baseline) in
-  let c = counters_of_json (parse current) in
+  let b = counters_of_json (Json.parse baseline) in
+  let c = counters_of_json (Json.parse current) in
   let drifts = ref [] in
   List.iter
     (fun (k, bv) ->

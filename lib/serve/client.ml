@@ -122,3 +122,20 @@ let verdicts lines =
               String.concat " " rest )
       | _ -> None)
     lines
+
+(** The [stream --json] document: one object per verdict, the distance
+    as a bit-exact hex float. CI pins these bytes
+    (ci/serve-expected.json). *)
+let verdicts_json lines =
+  let open Abg_util.Json in
+  List
+    (List.map
+       (fun (sid, window, distance, verdict) ->
+         Obj
+           [
+             ("sid", Str sid);
+             ("window", Num (float_of_int window));
+             ("distance", hex distance);
+             ("verdict", Str verdict);
+           ])
+       (verdicts lines))

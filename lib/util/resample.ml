@@ -34,36 +34,12 @@ let linear ~times ~values ~n =
     out
   end
 
-(** [hold ~times ~values ~n] is like {!linear} but with zero-order hold: the
-    value at time [t] is the last sample at or before [t]. This matches the
-    semantics of a congestion window, which is a step function. *)
-let hold ~times ~values ~n =
-  let len = Array.length times in
-  assert (len = Array.length values && len > 0 && n > 0);
-  if len = 1 then Array.make n values.(0)
-  else begin
-    let t0 = times.(0) and t1 = times.(len - 1) in
-    let span = t1 -. t0 in
-    let out = Array.make n 0.0 in
-    let j = ref 0 in
-    for i = 0 to n - 1 do
-      let t =
-        if n = 1 then t0 else t0 +. (span *. float_of_int i /. float_of_int (n - 1))
-      in
-      while !j < len - 1 && times.(!j + 1) <= t do
-        incr j
-      done;
-      out.(i) <- values.(!j)
-    done;
-    out
-  end
-
-(** [hold_fn ~time ~value ~len ~n] is {!hold} over the points
-    [(time i, value i)], [i] in [0 .. len-1], reading samples through
-    accessors instead of materialized arrays. The output floats are the
-    same accessor results {!hold} would read from copies, so the series is
-    bit-identical — without the two [O(len)] array allocations a caller
-    holding an array of records would need. *)
+(** [hold_fn ~time ~value ~len ~n] resamples the points
+    [(time i, value i)], [i] in [0 .. len-1], onto [n] evenly spaced
+    points with zero-order hold: the value at time [t] is the last sample
+    at or before [t], the semantics of a congestion window, which is a
+    step function. Samples are read through accessors, so a caller
+    holding an array of records needs no [O(len)] copies. *)
 let hold_fn ~time ~value ~len ~n =
   assert (len > 0 && n > 0);
   if len = 1 then Array.make n (value 0)
@@ -113,14 +89,3 @@ let linear_fn_into ~time ~value ~len ~dst =
       dst.(i) <- va +. (frac *. (vb -. va))
     done
   end
-
-(** [downsample xs n] keeps [n] evenly strided elements of [xs] (always
-    including the first and last). *)
-let downsample xs n =
-  let len = Array.length xs in
-  assert (n > 0);
-  if len <= n then Array.copy xs
-  else
-    Array.init n (fun i ->
-        let idx = i * (len - 1) / (n - 1) in
-        xs.(idx))

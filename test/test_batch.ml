@@ -81,6 +81,44 @@ let test_job_digest_distinguishes () =
   Alcotest.(check int) "all distinct" 5
     (List.length (List.sort_uniq String.compare digests))
 
+(* Byte pins: a job's canonical rendering is its identity (the digest
+   is the journal key), so any change to the JSON writer that moves these
+   bytes renames every settled job of every existing run. *)
+let test_job_bytes_pinned () =
+  let configs = Abg_netsim.Config.testbed_grid ~duration:2.0 ~n:1 () in
+  let cfg =
+    "[\"0x1.312dp+22|0x1.47ae147ae147bp-7|12|0x1.6ap+10|0x1p+1|5010|0x0p+0|0x1.0624dd2f1a9fcp-10\"]"
+  in
+  let header kind = "{\"schema\":\"abagnale-job/1\",\"kind\":\"" ^ kind ^ "\"," in
+  let tail = "\"cca\":\"reno\",\"seed\":42,\"configs\":" ^ cfg ^ "}" in
+  List.iter
+    (fun (kind, fields, digest) ->
+      let job = { Job.kind; cca = "reno"; seed = 42; configs } in
+      Alcotest.(check string)
+        (Job.kind_name kind ^ " bytes")
+        (header (Job.kind_name kind) ^ fields ^ tail)
+        (Abg_util.Json.to_string (Job.to_json job));
+      Alcotest.(check string) (Job.kind_name kind ^ " digest") digest
+        (Job.digest job))
+    [
+      (Job.Collect, "", "4838815be1581303cf59a05b80ca9e98");
+      ( Job.Synthesize { dsl = Some "reno" },
+        "\"dsl\":\"reno\",",
+        "65be3e5331a4f868c0cf13398b42ea65" );
+      (Job.Classify, "", "05fc6870140bbc8e9ac42aaaa74aa707");
+      ( Job.Noise { stddev = 0.05; keep = 0.9 },
+        "\"stddev\":\"0x1.999999999999ap-5\",\"keep\":\"0x1.ccccccccccccdp-1\",",
+        "fcd3c9786bbe616fe4b8b2dff019a518" );
+      ( Job.Probe { fail_attempts = 1; sleep_ms = 250 },
+        "\"fail_attempts\":1,\"sleep_ms\":250,",
+        "cf8552b00a73ce5ca627b65a34650f15" );
+      ( Job.Fuzz_eval
+          { fitness = "divergence"; cca_b = Some "cubic"; handler = None;
+            genome = "g0" },
+        "\"fitness\":\"divergence\",\"cca_b\":\"cubic\",\"fn\":null,\"genome\":\"g0\",",
+        "8e6390c42a401bd59975a017e64352a4" );
+    ]
+
 let test_job_expand_counts () =
   let grid =
     {
@@ -336,6 +374,23 @@ let test_journal_append_replay () =
     (List.map Journal.entry_to_line sample_entries)
     (List.map Journal.entry_to_line replayed)
 
+(* Byte pin: journal lines are replayed by every later resume. The error
+   text exercises every escape class (quote, backslash, the short
+   control escapes, and \u00XX for the rest). *)
+let test_journal_line_pinned () =
+  let entry =
+    {
+      Journal.job = Digest.to_hex (Digest.string "j");
+      status = Journal.Quarantined;
+      attempts = 3;
+      result = None;
+      error = Some "boom: \"x\"\n\tat\r\001 \\ end";
+    }
+  in
+  Alcotest.(check string) "entry line"
+    "{\"job\":\"363b122c528f54df4a0446b6bab05515\",\"status\":\"quarantined\",\"attempts\":3,\"result\":null,\"error\":\"boom: \\\"x\\\"\\n\\tat\\r\\u0001 \\\\ end\"}"
+    (Journal.entry_to_line entry)
+
 let test_journal_missing_is_empty () =
   Alcotest.(check int) "no file, no entries" 0
     (List.length (Journal.replay (Filename.concat (fresh_dir ()) "nope")))
@@ -357,7 +412,7 @@ let test_journal_interior_corruption_raises () =
   let path = Filename.concat (fresh_dir ()) "journal.jsonl" in
   write_file path "garbage, not json\n{\"also\":\"bad\"}\n";
   match Journal.replay path with
-  | exception Abg_batch.Jsonx.Malformed _ -> ()
+  | exception Abg_util.Json.Malformed _ -> ()
   | _ -> Alcotest.fail "expected Malformed"
 
 (* -- Journal checkpoints -- *)
@@ -469,7 +524,7 @@ let test_journal_interior_checkpoint_corruption_raises () =
   append_raw path (Journal.entry_to_line (mk_entry 50) ^ "\n");
   (* Not in final position, so not a crash artifact: corruption. *)
   match Journal.replay path with
-  | exception Abg_batch.Jsonx.Malformed _ -> ()
+  | exception Abg_util.Json.Malformed _ -> ()
   | _ -> Alcotest.fail "expected Malformed"
 
 let test_journal_compact () =
@@ -919,6 +974,7 @@ let suites =
         Alcotest.test_case "json roundtrip" `Quick test_job_json_roundtrip;
         Alcotest.test_case "digest distinguishes" `Quick
           test_job_digest_distinguishes;
+        Alcotest.test_case "bytes pinned" `Quick test_job_bytes_pinned;
         Alcotest.test_case "expand counts" `Quick test_job_expand_counts;
         Alcotest.test_case "probe configless" `Quick
           test_job_expand_probe_configless;
@@ -943,6 +999,7 @@ let suites =
     ( "batch.journal",
       [
         Alcotest.test_case "line roundtrip" `Quick test_journal_line_roundtrip;
+        Alcotest.test_case "line pinned" `Quick test_journal_line_pinned;
         Alcotest.test_case "append/replay" `Quick test_journal_append_replay;
         Alcotest.test_case "missing file" `Quick test_journal_missing_is_empty;
         Alcotest.test_case "torn tail" `Quick test_journal_drops_torn_tail;

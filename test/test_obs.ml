@@ -169,15 +169,63 @@ let test_report_roundtrip () =
   let snap = Obs.snapshot () in
   let doc = Report.to_json snap in
   Alcotest.(check string) "serialization is stable" doc (Report.to_json snap);
-  let json = Report.parse doc in
-  (match Report.member "schema" json with
-  | Some (Report.Str s) -> Alcotest.(check string) "schema tag" Report.schema s
+  let json = Abg_util.Json.parse doc in
+  (match Abg_util.Json.member_opt "schema" json with
+  | Some (Abg_util.Json.Str s) -> Alcotest.(check string) "schema tag" Report.schema s
   | _ -> Alcotest.fail "schema member missing");
   let counters = Report.counters_of_json json in
   Alcotest.(check bool) "parsed counters match snapshot" true
     (counters = snap.Obs.counters);
   Alcotest.(check int) "value survives round-trip" 12345
     (List.assoc "test.obs.roundtrip" counters)
+
+(* Byte pin of a hand-built snapshot: the indented layout, the
+   deterministic ["counters"] section CI diffs, and float cells whose
+   values print the same under any round-trip float printer. *)
+let test_report_bytes_pinned () =
+  let snap =
+    {
+      Obs.counters = [ ("a.b", 3); ("z.big", 123456789012345) ];
+      volatile = [ ("v", 7) ];
+      gauges = [ ("g", 0.5); ("inf", infinity) ];
+      histograms =
+        [ ("h", { Obs.Histogram.count = 2; sum = 6.0; nonzero = [ (1, 1); (2, 1) ] }) ];
+      floatcells = [ ("f", 1.25, [ (0, 1.0); (1, 0.25) ]) ];
+    }
+  in
+  Alcotest.(check string) "document"
+    "{\n\
+    \  \"schema\": \"abagnale-telemetry/1\",\n\
+    \  \"counters\": {\n\
+    \    \"a.b\": 3,\n\
+    \    \"z.big\": 123456789012345\n\
+    \  },\n\
+    \  \"volatile\": {\n\
+    \    \"v\": 7\n\
+    \  },\n\
+    \  \"gauges\": {\n\
+    \    \"g\": 0.5,\n\
+    \    \"inf\": 1e999\n\
+    \  },\n\
+    \  \"histograms\": {\n\
+    \    \"h\": {\n\
+    \      \"count\": 2,\n\
+    \      \"sum\": 6,\n\
+    \      \"buckets\": {\n\
+    \        \"1\": 1,\n\
+    \        \"2\": 1\n\
+    \      }\n\
+    \    }\n\
+    \  },\n\
+    \  \"floatcells\": {\n\
+    \    \"f\": {\n\
+    \      \"total\": 1.25,\n\
+    \      \"domain0\": 1,\n\
+    \      \"domain1\": 0.25\n\
+    \    }\n\
+    \  }\n\
+     }\n"
+    (Report.to_json snap)
 
 let test_find_counter () =
   let c = Obs.Counter.make "test.obs.find" in
@@ -300,6 +348,7 @@ let suites =
     ( "obs.report",
       [
         Alcotest.test_case "json round-trip" `Quick test_report_roundtrip;
+        Alcotest.test_case "bytes pinned" `Quick test_report_bytes_pinned;
         Alcotest.test_case "find_counter" `Quick test_find_counter;
         Alcotest.test_case "diff: agreement" `Quick test_diff_agree;
         Alcotest.test_case "diff: drift kinds" `Quick test_diff_drift_kinds;

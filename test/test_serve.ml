@@ -459,6 +459,17 @@ let test_daemon_end_to_end () =
   Alcotest.(check bool) "run returned cleanly" true !drained;
   Alcotest.(check bool) "socket file removed" false (Sys.file_exists socket)
 
+(* Byte pin of `stream --json`: reply lines through
+   [Client.verdicts_json], the rows CI diffs against
+   ci/serve-expected.json. *)
+let test_stream_json_pinned () =
+  let lines =
+    [ "ok"; "verdict s0-reno-0 3 0.1 reno"; "verdict s1-cubic-0 12 1e999 unknown (far)" ]
+  in
+  Alcotest.(check string) "rows"
+    "[{\"sid\":\"s0-reno-0\",\"window\":3,\"distance\":\"0x1.999999999999ap-4\",\"verdict\":\"reno\"},{\"sid\":\"s1-cubic-0\",\"window\":12,\"distance\":\"infinity\",\"verdict\":\"unknown (far)\"}]"
+    (Abg_util.Json.to_string (Abg_serve.Client.verdicts_json lines))
+
 let qsuite = List.map QCheck_alcotest.to_alcotest
 
 let suites =
@@ -479,6 +490,8 @@ let suites =
           test_stream_matches_batch_parse;
         Alcotest.test_case "stream error position" `Quick
           test_stream_error_position;
+        Alcotest.test_case "stream --json rows pinned" `Quick
+          test_stream_json_pinned;
       ]
       @ qsuite [ prop_lines_chunking_invariant ] );
     ( "serve-engine",

@@ -1,4 +1,4 @@
-(* Tests for Abg_util: PRNG, statistics, units, resampling, float
+(* Tests for Abg_util: PRNG, statistics, units, resampling, JSON, float
    helpers. *)
 
 open Abg_util
@@ -208,7 +208,10 @@ let test_resample_linear_endpoints () =
 
 let test_resample_hold () =
   let times = [| 0.0; 1.0 |] and values = [| 5.0; 9.0 |] in
-  let out = Resample.hold ~times ~values ~n:4 in
+  let out =
+    Resample.hold_fn ~time:(Array.get times) ~value:(Array.get values) ~len:2
+      ~n:4
+  in
   check_close "held start" 5.0 out.(0);
   check_close "held mid" 5.0 out.(1);
   check_close "switch" 9.0 out.(3)
@@ -216,17 +219,6 @@ let test_resample_hold () =
 let test_resample_single_point () =
   let out = Resample.linear ~times:[| 1.0 |] ~values:[| 7.0 |] ~n:3 in
   Alcotest.(check (array (float 1e-9))) "constant" [| 7.0; 7.0; 7.0 |] out
-
-let test_downsample () =
-  let xs = Array.init 100 float_of_int in
-  let out = Resample.downsample xs 10 in
-  Alcotest.(check int) "length" 10 (Array.length out);
-  check_close "first kept" 0.0 out.(0);
-  check_close "last kept" 99.0 out.(9)
-
-let test_downsample_short_input () =
-  let xs = [| 1.0; 2.0 |] in
-  Alcotest.(check (array (float 1e-9))) "unchanged" xs (Resample.downsample xs 10)
 
 (* -- Floatx -- *)
 
@@ -261,6 +253,119 @@ let test_floatx_log_grid () =
 let test_floatx_lin_grid () =
   let g = Floatx.lin_grid ~lo:0.0 ~hi:4.0 ~n:5 in
   check_close "step" 1.0 g.(1)
+
+(* -- Json -- *)
+
+(* Structural equality, except that numbers compare by bits: [-0.] must
+   come back as [-0.]. *)
+let rec json_equal a b =
+  match (a, b) with
+  | Json.Num x, Json.Num y -> Int64.bits_of_float x = Int64.bits_of_float y
+  | Json.List xs, Json.List ys ->
+      List.length xs = List.length ys && List.for_all2 json_equal xs ys
+  | Json.Obj xs, Json.Obj ys ->
+      List.length xs = List.length ys
+      && List.for_all2 (fun (k, v) (k', v') -> k = k' && json_equal v v') xs ys
+  | a, b -> a = b
+
+(* Trees over every byte (control chars and bytes >= 0x80 included),
+   every non-nan double, exact integers up to 2^53, and both bushy and
+   deeply nested shapes. *)
+let gen_json =
+  let open QCheck.Gen in
+  let num =
+    oneof
+      [
+        map float_of_int (int_range (-(1 lsl 53)) (1 lsl 53));
+        map
+          (fun bits ->
+            let f = Int64.float_of_bits bits in
+            if Float.is_nan f then 0.5 else f)
+          ui64;
+        oneofl [ -0.0; 0.0; infinity; neg_infinity; 1e17; 0.1 ];
+      ]
+  in
+  let text = string_size ~gen:char (int_range 0 8) in
+  let leaf =
+    oneof
+      [
+        return Json.Null;
+        map (fun b -> Json.Bool b) bool;
+        map (fun f -> Json.Num f) num;
+        map (fun s -> Json.Str s) text;
+      ]
+  in
+  let tree =
+    sized
+    @@ fix (fun self n ->
+           if n <= 1 then leaf
+           else
+             frequency
+               [
+                 (1, leaf);
+                 (2, map (fun l -> Json.List l) (list_size (int_range 0 4) (self (n / 3))));
+                 ( 2,
+                   map
+                     (fun l -> Json.Obj l)
+                     (list_size (int_range 0 4) (pair text (self (n / 3)))) );
+               ])
+  in
+  let deep =
+    map2
+      (fun depth leaf ->
+        let rec nest d j =
+          if d = 0 then j
+          else nest (d - 1) (if d mod 2 = 0 then Json.List [ j ] else Json.Obj [ ("k", j) ])
+        in
+        nest depth leaf)
+      (int_range 50 400) leaf
+  in
+  frequency [ (4, tree); (1, deep) ]
+
+let arb_json = QCheck.make ~print:Json.to_string gen_json
+
+let prop_json_roundtrip_compact =
+  QCheck.Test.make ~name:"json parse (to_string j) = j" ~count:300 arb_json
+    (fun j -> json_equal (Json.parse (Json.to_string j)) j)
+
+let prop_json_roundtrip_indented =
+  QCheck.Test.make ~name:"json parse (to_string_indented j) = j" ~count:300
+    arb_json (fun j -> json_equal (Json.parse (Json.to_string_indented j)) j)
+
+(* JSON has no nan/infinity literals; every rendering must still parse. *)
+let test_json_non_finite () =
+  List.iter
+    (fun (v, expect) ->
+      let text = Json.to_string (Json.List [ Json.Num v ]) in
+      match Json.parse text with
+      | Json.List [ got ] ->
+          Alcotest.(check bool) (text ^ " parses back") true (json_equal expect got)
+      | _ -> Alcotest.fail text
+      | exception Json.Malformed msg -> Alcotest.fail (text ^ ": " ^ msg))
+    [
+      (Float.nan, Json.Null);
+      (Float.infinity, Json.Num Float.infinity);
+      (Float.neg_infinity, Json.Num Float.neg_infinity);
+    ]
+
+let test_json_malformed () =
+  List.iter
+    (fun text ->
+      match Json.parse text with
+      | exception Json.Malformed _ -> ()
+      | _ -> Alcotest.fail ("accepted " ^ text))
+    [ ""; "{"; "[1,]"; "{\"a\" 1}"; "nan"; "\"open"; "1 2"; "\"\\u12\"" ]
+
+(* Json.int takes exact integers only: int_of_float of 1e19 is 0. *)
+let test_json_int_range () =
+  Alcotest.(check int) "2^53" (1 lsl 53) (Json.int ~ctx:"t" (Json.Num 0x1p53));
+  Alcotest.(check int) "-2^53" (-(1 lsl 53)) (Json.int ~ctx:"t" (Json.Num (-0x1p53)));
+  List.iter
+    (fun f ->
+      match Json.int ~ctx:"t" (Json.Num f) with
+      | exception Json.Malformed _ -> ()
+      | n -> Alcotest.failf "%h read as %d" f n)
+    [ 1e19; -1e19; 0x1p54; 0.5; Float.infinity ]
 
 (* -- QCheck properties -- *)
 
@@ -409,9 +514,14 @@ let suites =
         Alcotest.test_case "linear endpoints" `Quick test_resample_linear_endpoints;
         Alcotest.test_case "hold semantics" `Quick test_resample_hold;
         Alcotest.test_case "single point" `Quick test_resample_single_point;
-        Alcotest.test_case "downsample" `Quick test_downsample;
-        Alcotest.test_case "downsample short" `Quick test_downsample_short_input;
       ] );
+    ( "util.json",
+      [
+        Alcotest.test_case "non-finite numbers parse" `Quick test_json_non_finite;
+        Alcotest.test_case "malformed input raises" `Quick test_json_malformed;
+        Alcotest.test_case "int accessor range" `Quick test_json_int_range;
+      ]
+      @ qcheck [ prop_json_roundtrip_compact; prop_json_roundtrip_indented ] );
     ( "util.floatx",
       [
         Alcotest.test_case "approx_equal" `Quick test_floatx_approx;
